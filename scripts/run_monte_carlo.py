@@ -17,6 +17,7 @@ from dcsysid import (
     dc_cholesky_factor,
     fit_metric,
     ls_estimate,
+    preprocess,
     simulate_fir,
     tune,
 )
@@ -50,7 +51,7 @@ def main(argv=None):
         sigma2 = float(np.var(noise_free)) / args.snr
         y = simulate_fir(g_true, u, sigma2=sigma2, seed=args.seed + 1000 * run + 1)
         data = RegressionData(u=u, y=y, n=args.order)
-        g_ls, _ = ls_estimate(data)
+        g_ls, _ = ls_estimate(preprocess(data))
         result = tune(data, config)
         fits_map.append(fit_metric(result.g_hat, g_true))
         fits_ls.append(fit_metric(g_ls, g_true))

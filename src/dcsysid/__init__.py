@@ -6,11 +6,12 @@ The package is organised by task:
   factorizations, tridiagonal inverses, determinants, condition numbers.
 * :mod:`dcsysid.maxent`     -- maximum-entropy completion of partially
   specified banded covariances and its factored form.
-* :mod:`dcsysid.regression` -- FIR regressors, simulation, least squares,
-  CSV ingestion.
-* :mod:`dcsysid.likelihood` -- marginal-likelihood objective (naive dense
-  oracle plus three QR-based evaluators), MAP estimate, gradient/Hessian,
-  flop accounting.
+* :mod:`dcsysid.regression` -- FIR datasets, regressors, simulation, CSV
+  ingestion.
+* :mod:`dcsysid.likelihood` -- one-pass QR compression of the data, least
+  squares read off its triangle, marginal-likelihood objective (naive
+  dense oracle plus three QR-based evaluators), MAP estimate,
+  gradient/Hessian, flop accounting.
 * :mod:`dcsysid.tuner`      -- empirical-Bayes hyperparameter search and
   fit scoring.
 * :mod:`dcsysid.cli`        -- the ``dcsysid`` command-line tool.
@@ -52,7 +53,6 @@ from .regression import (
     RegressionData,
     build_regressor,
     load_csv,
-    ls_estimate,
     simulate_fir,
 )
 from .likelihood import (
@@ -63,6 +63,7 @@ from .likelihood import (
     algorithm_a_flops,
     algorithm_b_flops,
     algorithm_c_flops,
+    ls_estimate,
     map_estimate,
     nll_algorithm_a,
     nll_algorithm_b,

@@ -17,20 +17,17 @@ SHA-256 digest of the input file, seeds and wall time, so results can be
 reproduced from the report alone.
 
 Exit codes: 0 success; 2 argument/format/domain errors; 3 infeasible
-completion; 4 numerical failure; 5 tuning failure.  The
-``DCSYSID_THREADS`` environment variable caps worker threads (all
-computation here is single-threaded, so any positive cap is honored);
-it is validated and echoed in the report.
+completion; 4 numerical failure; 5 tuning failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
-import os
 import re
 import sys
 import time
@@ -52,7 +49,6 @@ from .kernel import (
 )
 from .likelihood import (
     NumericalError,
-    RankDeficiencyError,
     nll_algorithm_a,
     nll_algorithm_b,
     nll_algorithm_c,
@@ -133,19 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_threads() -> int | None:
-    raw = os.environ.get("DCSYSID_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"DCSYSID_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -198,16 +181,10 @@ def _hyper_dict(h: DcHyperparams) -> dict:
 def _cmd_identify(args) -> tuple[dict, dict]:
     u, y = load_csv(args.data)
     data = RegressionData(u=u, y=y, n=args.order)
-    mapping = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            mapping = json.load(fh)
-        if not isinstance(mapping, dict):
-            raise ValueError("tuner config file must contain a JSON object")
+    config = TunerConfig.from_json(args.config) if args.config else TunerConfig()
     if args.sigma2 is not None:
-        mapping["sigma2_policy"] = "fixed"
-        mapping["sigma2_value"] = args.sigma2
-    result = tune(data, TunerConfig.from_mapping(mapping))
+        config = dataclasses.replace(config, sigma2_policy="fixed", sigma2_value=args.sigma2)
+    result = tune(data, config)
     results = {
         "order": data.n,
         "n_samples": data.n_samples,
@@ -412,12 +389,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
-    try:
-        threads = _read_threads()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     start = time.perf_counter()
     try:
         results, extras = _COMMANDS[args.command](args)
@@ -427,7 +398,7 @@ def main(argv=None) -> int:
     except InfeasibleBandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, RankDeficiencyError, IllPosedError) as exc:
+    except (NumericalError, IllPosedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (
@@ -447,7 +418,6 @@ def main(argv=None) -> int:
         "command": args.command,
         "argv": list(argv) if argv is not None else sys.argv[1:],
         "version": __version__,
-        "threads": threads,
         "seed": extras.get("seed"),
         "input_sha256": extras.get("input_sha256"),
         "elapsed_seconds": time.perf_counter() - start,

@@ -10,9 +10,13 @@ hyperparameter search evaluates l thousands of times, so everything here
 is built around a one-off compression of the data followed by cheap
 per-evaluation work:
 
-* ``preprocess``        one thin QR of the N x (n+1) block [Phi^T  Y]
-                        with the positive-diagonal convention; all later
-                        evaluations touch only its (n+1) x (n+1) R factor.
+* ``preprocess``        builds the N x (n+1) block [Phi^T  Y] once,
+                        straight from u and y, and QR-factors it in place
+                        (positive-diagonal convention).  This is the only
+                        pass over the data: everything below touches only
+                        the (n+1) x (n+1) R factor.
+* ``ls_estimate``       plain least squares and its residual variance,
+                        read off that triangle.
 * ``nll_naive``         the O(N^3) dense definition above; reference
                         oracle only.
 * ``nll_algorithm_a``   whitens with a *numerical* Cholesky factor of the
@@ -61,7 +65,7 @@ the measured wall time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -69,7 +73,7 @@ import scipy.linalg.lapack
 
 from . import kernel as _kernel
 from .kernel import DcHyperparams, SingularKernelError, _coerce
-from .regression import RegressionData
+from .regression import IllPosedError, RegressionData, _fill_lags
 
 __all__ = [
     "NumericalError",
@@ -78,6 +82,7 @@ __all__ = [
     "ObjectiveEvaluation",
     "preprocess",
     "preprocess_matrices",
+    "ls_estimate",
     "nll_naive",
     "nll_algorithm_a",
     "nll_algorithm_b",
@@ -95,7 +100,7 @@ class NumericalError(RuntimeError):
     """Factorization or triangular solve failed (singular/indefinite matrix)."""
 
 
-class RankDeficiencyError(ValueError):
+class RankDeficiencyError(IllPosedError):
     """Data matrix is numerically rank deficient; ``column`` is the offender."""
 
     def __init__(self, message: str, column: int | None = None):
@@ -128,8 +133,6 @@ class ObjectiveEvaluation:
     r_scalar: float
     flops: dict
     wall_time: float
-    gradient: np.ndarray | None = field(default=None)
-    hessian: np.ndarray | None = field(default=None)
 
 
 # block size of evaluator C's dtpqrt, chosen by timing nb in 1..64: 8 was
@@ -145,42 +148,22 @@ def _positive_diagonal(r: np.ndarray) -> np.ndarray:
     return s[:, None] * r
 
 
-def _qr_r(a: np.ndarray) -> np.ndarray:
-    """Thin-QR R factor with the positive-diagonal convention."""
-    return _positive_diagonal(np.linalg.qr(a, mode="r"))
-
-
 def _check_sigma2(sigma2: float) -> float:
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     return float(sigma2)
 
 
-def preprocess_matrices(
-    phi_t: np.ndarray, y: np.ndarray, n_samples: int | None = None
-) -> PreprocessedData:
-    """Thin QR of [Phi^T Y]; see :func:`preprocess`.
-
-    ``n_samples`` overrides the recorded sample count.  Pass it when the
-    inputs are themselves a compressed triangle [r_d1 r_d2] rather than
-    raw data: the objective's (N - n) log sigma^2 term needs the original
-    N, and with it the evaluators return identical values on the
-    compressed representation.
-    """
-    phi_t = np.asarray(phi_t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    big_n, n = phi_t.shape
-    if y.shape != (big_n,):
-        raise ValueError(f"y must have shape ({big_n},), got {y.shape}")
+def _compress(block: np.ndarray, n_samples: int) -> PreprocessedData:
+    """Thin QR of the Fortran-ordered N x (n+1) block [Phi^T Y], overwriting it."""
+    big_n, n = block.shape[0], block.shape[1] - 1
     if big_n < n + 1:
         raise RankDeficiencyError(
             f"preprocessing needs N >= n + 1 rows, got N={big_n}, n={n}"
         )
-    if n_samples is None:
-        n_samples = big_n
-    elif n_samples < big_n:
-        raise ValueError(f"n_samples override {n_samples} is below the row count {big_n}")
-    r = _qr_r(np.column_stack([phi_t, y]))
+    y_norm2 = float(block[:, n] @ block[:, n])
+    _, r = scipy.linalg.qr(block, mode="raw", overwrite_a=True, check_finite=False)
+    r = _positive_diagonal(r)
     # Phi^T must have full column rank for a unique estimate; the trailing
     # (Y) column may legitimately be dependent (noise-free data), so only
     # the first n diagonal entries are checked.
@@ -194,19 +177,74 @@ def preprocess_matrices(
             column=int(bad[0]),
         )
     return PreprocessedData(
-        n=n, n_samples=int(n_samples), r_d1=r[:, :n], r_d2=r[:, n], y_norm2=float(y @ y)
+        n=n, n_samples=int(n_samples), r_d1=r[:, :n], r_d2=r[:, n], y_norm2=y_norm2
     )
+
+
+def preprocess_matrices(
+    phi_t: np.ndarray, y: np.ndarray, n_samples: int | None = None
+) -> PreprocessedData:
+    """Thin QR of [Phi^T Y] for a given Phi^T; see :func:`preprocess`.
+
+    ``n_samples`` overrides the recorded sample count.  Pass it when the
+    inputs are themselves a compressed triangle [r_d1 r_d2] rather than
+    raw data: the objective's (N - n) log sigma^2 term needs the original
+    N, and with it the evaluators return identical values on the
+    compressed representation.
+    """
+    phi_t = np.asarray(phi_t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    big_n, n = phi_t.shape
+    if y.shape != (big_n,):
+        raise ValueError(f"y must have shape ({big_n},), got {y.shape}")
+    if n_samples is None:
+        n_samples = big_n
+    elif n_samples < big_n:
+        raise ValueError(f"n_samples override {n_samples} is below the row count {big_n}")
+    block = np.empty((big_n, n + 1), order="F")
+    block[:, :n] = phi_t
+    block[:, n] = y
+    return _compress(block, n_samples)
 
 
 def preprocess(data: RegressionData) -> PreprocessedData:
     """Compress a dataset once; all objective evaluations reuse the result.
 
-    Computes the thin QR [Phi^T Y] = Q_d [r_d1 r_d2] (positive diagonal)
-    and discards Q_d: the products Phi Phi^T = r_d1^T r_d1,
-    Phi Y = r_d1^T r_d2 and ||Y||^2 = ||r_d2||^2 are all the evaluators
-    need, independent of N.
+    Writes the lagged inputs and y straight into one N x (n+1) block
+    [Phi^T Y] and computes its thin QR [Phi^T Y] = Q_d [r_d1 r_d2]
+    (positive diagonal) in place, discarding Q_d: the products
+    Phi Phi^T = r_d1^T r_d1, Phi Y = r_d1^T r_d2 and ||Y||^2 = ||r_d2||^2
+    are all the evaluators and :func:`ls_estimate` need, independent of N.
     """
-    return preprocess_matrices(data.phi_t, data.y)
+    n = data.n
+    block = np.zeros((data.n_samples, n + 1), order="F")
+    _fill_lags(block[:, :n], data.u)
+    block[:, n] = data.y
+    return _compress(block, data.n_samples)
+
+
+def ls_estimate(pre: PreprocessedData) -> tuple[np.ndarray, float]:
+    """Plain least squares read off the compressed triangle.
+
+    Returns (g_ls, sigma2_hat) with r_d1[:n] g_ls = r_d2[:n] and
+    sigma2_hat = r_d2[n]^2 / (N - n), r_d2[n] being the residual norm.
+
+    Raises :class:`IllPosedError` if Phi^T is numerically rank deficient by
+    NumPy's least-squares rank rule: fewer than n singular values above
+    eps * max(N, n) * s_max, taken from the triangle, whose singular values
+    are those of Phi^T.  (:func:`preprocess` already refuses N <= n.)
+    """
+    n, big_n = pre.n, pre.n_samples
+    r1 = pre.r_d1[:n]
+    s = np.linalg.svd(r1, compute_uv=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(big_n, n) * s[0]))
+    if rank < n:
+        raise IllPosedError(
+            f"regressor is rank deficient (rank {rank} < n={n}); "
+            "use a longer or richer input, or a smaller model order"
+        )
+    g_ls = scipy.linalg.solve_triangular(r1, pre.r_d2[:n])
+    return g_ls, float(pre.r_d2[n] ** 2) / (big_n - n)
 
 
 # --- analytic flop tallies (closed per-step counts) ---------------------------
@@ -264,7 +302,8 @@ def nll_naive(hyper, sigma2: float, data: RegressionData) -> float:
     h = _coerce(hyper)
     sigma2 = _check_sigma2(sigma2)
     k = _kernel.build_dc_kernel(h, data.n)
-    s = data.phi_t @ k @ data.phi_t.T
+    phi_t = data.phi_t
+    s = phi_t @ k @ phi_t.T
     s[np.diag_indices_from(s)] += sigma2
     try:
         low = np.linalg.cholesky(s)
@@ -290,7 +329,7 @@ def _whitened_value(
     stack[: n + 1, n] = pre.r_d2
     idx = np.arange(n)
     stack[n + 1 + idx, idx] = sroot
-    r = _qr_r(stack)
+    r = _positive_diagonal(np.linalg.qr(stack, mode="r"))
     diag = np.diagonal(r)[:n]
     if np.any(diag <= 0):
         raise NumericalError("stacked QR produced a singular triangle")

@@ -1,13 +1,15 @@
-"""FIR regression data: regressor construction, simulation, least squares.
+"""FIR regression data: regressor construction, simulation, CSV ingestion.
 
 The model is a length-n FIR filter observed in white noise,
 
     y(t) = sum_{k=1..n} g(k) u(t - k) + v(t),    t = 1..N,
 
 with u(t) = 0 for t < 1.  ``build_regressor`` returns the N x n matrix
-whose row t holds (u(t-1), ..., u(t-n)); the data matrix used throughout
-the likelihood code is exactly this matrix (the transposed regressor
-bank), kept in the shape it is consumed in.
+whose row t holds (u(t-1), ..., u(t-n)), the transposed regressor bank
+Phi^T of the likelihood code.  A dataset does not store it: the one-off
+compression ``likelihood.preprocess`` writes the same lagged columns
+straight into its [Phi^T Y] block, and least squares is read off the
+resulting triangle (``likelihood.ls_estimate``).
 
 Randomness is always drawn from ``numpy.random.default_rng(seed)``
 (PCG64), whose streams are stable across platforms and numpy releases;
@@ -17,8 +19,9 @@ every simulation is reproducible from its integer seed alone.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +31,6 @@ __all__ = [
     "RegressionData",
     "build_regressor",
     "simulate_fir",
-    "ls_estimate",
     "load_csv",
 ]
 
@@ -60,11 +62,15 @@ def build_regressor(u, n: int) -> np.ndarray:
         raise ValueError(f"u must be 1-D, got shape {u.shape}")
     if n < 1:
         raise ValueError(f"model order must be >= 1, got {n}")
-    big_n = u.shape[0]
-    phi_t = np.zeros((big_n, n))
+    return _fill_lags(np.zeros((u.shape[0], n)), u)
+
+
+def _fill_lags(out: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Write the lagged inputs u(t-1), ..., u(t-n) into the zeroed N x n ``out``."""
+    big_n, n = out.shape
     for k in range(1, min(n, big_n) + 1):
-        phi_t[k:, k - 1] = u[: big_n - k]
-    return phi_t
+        out[k:, k - 1] = u[: big_n - k]
+    return out
 
 
 def simulate_fir(g, u, sigma2: float = 0.0, seed=None) -> np.ndarray:
@@ -82,14 +88,14 @@ def simulate_fir(g, u, sigma2: float = 0.0, seed=None) -> np.ndarray:
 class RegressionData:
     """One identification dataset: input u, output y, model order n.
 
-    The regressor matrix ``phi_t`` (N x n) is built eagerly.  n > N is
-    allowed but warned about -- the least-squares path will refuse it.
+    Only u and y are stored; ``phi_t`` builds the N x n regressor on each
+    access.  n > N is allowed but warned about -- the compression
+    (``likelihood.preprocess``) will refuse it.
     """
 
     u: np.ndarray
     y: np.ndarray
     n: int
-    phi_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -102,44 +108,23 @@ class RegressionData:
             )
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.y))):
             raise ValueError("u and y must be finite")
+        self.n = operator.index(self.n)  # TypeError for a non-integer order
+        if self.n < 1:
+            raise ValueError(f"model order must be >= 1, got {self.n}")
         if self.n > self.u.shape[0]:
             warnings.warn(
                 f"model order n={self.n} exceeds the number of samples N={self.u.shape[0]}",
                 stacklevel=2,
             )
-        self.phi_t = build_regressor(self.u, self.n)
 
     @property
     def n_samples(self) -> int:
         return self.u.shape[0]
 
-
-def ls_estimate(data: RegressionData) -> tuple[np.ndarray, float]:
-    """Plain least squares: coefficients and residual noise-variance estimate.
-
-    Returns (g_ls, sigma2_hat) with sigma2_hat = ||y - Phi^T g_ls||^2 / (N - n).
-
-    Raises
-    ------
-    IllPosedError
-        If N <= n or the regressor is numerically rank deficient
-        (use more samples or a smaller model order).
-    """
-    big_n, n = data.phi_t.shape
-    if big_n <= n:
-        raise IllPosedError(
-            f"least squares needs N > n, got N={big_n}, n={n}; "
-            "collect more samples or lower the model order"
-        )
-    g_ls, _, rank, _ = np.linalg.lstsq(data.phi_t, data.y, rcond=None)
-    if rank < n:
-        raise IllPosedError(
-            f"regressor is rank deficient (rank {rank} < n={n}); "
-            "use a longer or richer input, or a smaller model order"
-        )
-    resid = data.y - data.phi_t @ g_ls
-    sigma2_hat = float(resid @ resid) / (big_n - n)
-    return g_ls, sigma2_hat
+    @property
+    def phi_t(self) -> np.ndarray:
+        """The N x n regressor, built anew on each access (dense oracle, tests)."""
+        return build_regressor(self.u, self.n)
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:

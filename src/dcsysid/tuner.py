@@ -20,8 +20,9 @@ deterministic lexicographic (lam, |rho|, c) tie-break among restarts that
 finish within the objective tolerance of each other.
 
 The noise variance is resolved by policy: ``ls-residual`` plugs in the
-least-squares residual variance, ``fixed`` uses a caller-supplied value,
-and ``joint`` appends log sigma^2 to the search as a fourth coordinate.
+least-squares residual variance, read off the evaluations' compressed
+triangle, ``fixed`` uses a caller-supplied value, and ``joint`` appends
+log sigma^2 to the search as a fourth coordinate.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from scipy.special import expit, logit
 from scipy.stats import qmc
 
 from .kernel import DcHyperparams, dc_inverse
-from .likelihood import NumericalError, map_estimate, nll_algorithm_c, nll_gradient_hessian, preprocess
-from .regression import RegressionData, ls_estimate
+from .likelihood import (NumericalError, PreprocessedData, ls_estimate, map_estimate,
+                         nll_algorithm_c, nll_gradient_hessian, preprocess)
+from .regression import RegressionData
 
 __all__ = [
     "TunerConfig",
@@ -263,11 +265,11 @@ def _halton_starts(cfg: TunerConfig) -> list[tuple[float, float, float]]:
     return starts
 
 
-def _resolve_sigma2(data: RegressionData, cfg: TunerConfig) -> float:
+def _resolve_sigma2(pre: PreprocessedData, cfg: TunerConfig) -> float:
     if cfg.sigma2_policy == "fixed":
         return float(cfg.sigma2_value)
     # ls-residual, and the starting value for the joint policy
-    _, sigma2 = ls_estimate(data)
+    _, sigma2 = ls_estimate(pre)
     lo, hi = _SIGMA2_BOUNDS
     return float(min(max(sigma2, lo * 10), hi / 10))
 
@@ -284,7 +286,7 @@ def tune(data: RegressionData, config: TunerConfig | None = None) -> Identificat
     cfg = config if config is not None else TunerConfig()
     pre = preprocess(data)
     joint = cfg.sigma2_policy == "joint"
-    sigma2_init = _resolve_sigma2(data, cfg)
+    sigma2_init = _resolve_sigma2(pre, cfg)
     gradient = cfg.solver == "gradient-assisted"
 
     eval_count = [0]

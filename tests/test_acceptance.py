@@ -401,7 +401,7 @@ def test_criterion_10_map_beats_least_squares():
         sigma2 = float(np.var(noise_free)) / 3.0
         y = simulate_fir(g, u, sigma2=sigma2, seed=2000 + seed)
         data = RegressionData(u=u, y=y, n=n)
-        g_ls, _ = ls_estimate(data)
+        g_ls, _ = ls_estimate(preprocess(data))
         result = tune(data, config)
         wins += fit_metric(result.g_hat, g) > fit_metric(g_ls, g)
     ok = wins >= 16

@@ -108,7 +108,7 @@ class TestIdentify:
         g_hat = np.array(results["g_hat"])
         assert dcsysid.fit_metric(g_hat, g_true) > 60.0
 
-    def test_fixed_sigma2_flag(self, dataset, capsys):
+    def test_fixed_sigma2_flag(self, dataset, tmp_path, capsys):
         path, _ = dataset
         code, text, _ = run(
             capsys, ["identify", str(path), "-n", "6", "--sigma2", "0.05"]
@@ -117,6 +117,17 @@ class TestIdentify:
         report = read_report(text)
         assert report["results"]["sigma2"] == 0.05
         assert report["results"]["diagnostics"]["sigma2_policy"] == "fixed"
+        # the flag takes precedence over the config file's noise policy
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma2_policy": "joint", "restarts": 1, "max_evals": 50}))
+        code, text, _ = run(
+            capsys, ["identify", str(path), "-n", "6", "--config", str(cfg), "--sigma2", "0.05"]
+        )
+        assert code == 0
+        results = read_report(text)["results"]
+        assert results["sigma2"] == 0.05
+        assert results["diagnostics"]["sigma2_policy"] == "fixed"
+        assert len(results["diagnostics"]["starts"]) == 1
 
     def test_config_file(self, dataset, tmp_path, capsys):
         path, _ = dataset
@@ -135,6 +146,10 @@ class TestIdentify:
         code, _, err = run(capsys, ["identify", str(path), "-n", "6", "--config", str(cfg)])
         assert code == 2
         assert "unknown" in err
+        cfg.write_text("[1, 2]")
+        code, _, err = run(capsys, ["identify", str(path), "-n", "6", "--config", str(cfg)])
+        assert code == 2
+        assert "JSON object" in err
 
     def test_plot_data_included(self, dataset, capsys):
         path, _ = dataset
@@ -275,21 +290,6 @@ class TestReportPlumbing:
         keys = {row[0] for row in rows[1:]}
         assert "results.logdet" in keys
         assert "results.inverse_band.main.0" in keys
-
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("DCSYSID_THREADS", "not-a-number")
-        code, _, err = run(capsys, ["kernel-info", "-n", "3", "--lam", "0.5", "--rho", "0.1"])
-        assert code == 2
-        assert "DCSYSID_THREADS" in err
-        monkeypatch.setenv("DCSYSID_THREADS", "0")
-        code, _, _ = run(capsys, ["kernel-info", "-n", "3", "--lam", "0.5", "--rho", "0.1"])
-        assert code == 2
-
-    def test_threads_env_recorded(self, capsys, monkeypatch):
-        monkeypatch.setenv("DCSYSID_THREADS", "4")
-        code, text, _ = run(capsys, ["kernel-info", "-n", "3", "--lam", "0.5", "--rho", "0.1"])
-        assert code == 0
-        assert read_report(text)["threads"] == 4
 
     def test_argv_echoed(self, capsys):
         argv = ["kernel-info", "-n", "3", "--lam", "0.5", "--rho", "0.1"]

@@ -42,6 +42,14 @@ class TestPreprocess:
         assert pre.r_d2 @ pre.r_d2 == pytest.approx(y @ y, rel=1e-12)
         assert pre.y_norm2 == pytest.approx(y @ y, rel=1e-12)
 
+    def test_block_built_from_inputs_matches_regressor(self, fir_problem):
+        data, _, _ = fir_problem(seed=2, n=12, n_samples=90)
+        pre = preprocess(data)
+        ref = preprocess_matrices(data.phi_t, data.y)
+        np.testing.assert_array_equal(pre.r_d1, ref.r_d1)
+        np.testing.assert_array_equal(pre.r_d2, ref.r_d2)
+        assert pre.y_norm2 == ref.y_norm2
+
     def test_too_few_samples(self):
         with pytest.raises(RankDeficiencyError):
             preprocess_matrices(np.ones((4, 4)), np.ones(4))

@@ -10,6 +10,8 @@ from dcsysid import (
     build_regressor,
     load_csv,
     ls_estimate,
+    preprocess,
+    preprocess_matrices,
     simulate_fir,
 )
 
@@ -92,7 +94,7 @@ class TestLsEstimate:
         g = rng.standard_normal(8)
         u = rng.standard_normal(100)
         data = RegressionData(u=u, y=simulate_fir(g, u), n=8)
-        g_hat, sigma2_hat = ls_estimate(data)
+        g_hat, sigma2_hat = ls_estimate(preprocess(data))
         np.testing.assert_allclose(g_hat, g, rtol=1e-8)
         assert sigma2_hat == pytest.approx(0.0, abs=1e-16)
 
@@ -101,18 +103,49 @@ class TestLsEstimate:
         g = rng.standard_normal(5)
         u = rng.standard_normal(20_000)
         y = simulate_fir(g, u, sigma2=0.7, seed=4)
-        _, sigma2_hat = ls_estimate(RegressionData(u=u, y=y, n=5))
+        _, sigma2_hat = ls_estimate(preprocess(RegressionData(u=u, y=y, n=5)))
         assert sigma2_hat == pytest.approx(0.7, rel=0.05)
 
     def test_underdetermined_raises(self):
         u = np.ones(4)
         with pytest.raises(IllPosedError):
-            ls_estimate(RegressionData(u=u, y=u, n=4))
+            ls_estimate(preprocess(RegressionData(u=u, y=u, n=4)))
 
     def test_rank_deficient_raises(self):
         data = RegressionData(u=np.zeros(10), y=np.zeros(10), n=3)
         with pytest.raises(IllPosedError):
-            ls_estimate(data)
+            ls_estimate(preprocess(data))
+
+    def test_matches_lstsq(self):
+        rng = np.random.default_rng(5)
+        for n_samples, n in ((60, 8), (500, 50), (2000, 125)):
+            u = rng.standard_normal(n_samples)
+            y = simulate_fir(rng.standard_normal(n), u, sigma2=0.3, seed=n)
+            data = RegressionData(u=u, y=y, n=n)
+            phi_t = data.phi_t
+            g_ref, _, rank, _ = np.linalg.lstsq(phi_t, y, rcond=None)
+            assert rank == n
+            resid = y - phi_t @ g_ref
+            sigma2_ref = float(resid @ resid) / (n_samples - n)
+            pre = preprocess(data)
+            # the same triangle handed back as compressed input, with the true N
+            compressed = preprocess_matrices(pre.r_d1, pre.r_d2, n_samples=n_samples)
+            for source in (pre, compressed):
+                g_ls, sigma2_hat = ls_estimate(source)
+                np.testing.assert_allclose(g_ls, g_ref, rtol=1e-12, atol=0)
+                assert sigma2_hat == pytest.approx(sigma2_ref, rel=1e-12)
+
+    def test_svd_rank_deficiency_raises(self):
+        # unit diagonal passes the compression's diagonal test, but the
+        # bidiagonal I - 2J has a smallest singular value near 2^-(n-1)
+        n = 60
+        phi_t = np.zeros((2 * n, n))
+        phi_t[:n, :n] = np.eye(n) - 2.0 * np.eye(n, k=1)
+        _, _, rank, _ = np.linalg.lstsq(phi_t, np.ones(2 * n), rcond=None)
+        assert rank < n
+        pre = preprocess_matrices(phi_t, np.ones(2 * n))
+        with pytest.raises(IllPosedError, match="rank deficient"):
+            ls_estimate(pre)
 
 
 class TestRegressionData:
@@ -129,6 +162,8 @@ class TestRegressionData:
             RegressionData(u=np.array([1.0, np.nan]), y=np.ones(2), n=1)
         with pytest.raises(ValueError):
             RegressionData(u=np.ones(3), y=np.ones(3), n=0)
+        with pytest.raises(TypeError):
+            RegressionData(u=np.ones(3), y=np.ones(3), n=2.0)
 
     def test_warns_when_order_exceeds_samples(self):
         with pytest.warns(UserWarning):

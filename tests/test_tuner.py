@@ -9,6 +9,7 @@ from dcsysid import (
     TuningError,
     fit_metric,
     ls_estimate,
+    preprocess,
     tune,
 )
 
@@ -102,7 +103,7 @@ class TestTune:
 
     def test_sigma2_policies(self, fir_problem):
         data, _, _ = fir_problem(seed=4, n=8, n_samples=150, sigma2=0.4)
-        _, s2_ls = ls_estimate(data)
+        _, s2_ls = ls_estimate(preprocess(data))
 
         residual = tune(data, TunerConfig(**QUICK))
         assert residual.sigma2_hat == pytest.approx(s2_ls)
