@@ -19,13 +19,27 @@ per-evaluation work:
                         read off that triangle.
 * ``nll_naive``         the O(N^3) dense definition above; reference
                         oracle only.
-* ``nll_algorithm_a``   whitens with a *numerical* Cholesky factor of the
-                        dense kernel, then multiplies into the compressed
-                        data and does one thin QR of a (2n+1) x (n+1)
-                        stack.  This is the conventional pipeline the
-                        stable evaluator is measured against.
-* ``nll_algorithm_b``   same pipeline, but the factor U W^(1/2) is written
-                        down in closed form instead of factorizing.
+
+All three evaluators reduce to one QR of a pair of triangles (see
+``_pair_qr``): the (n+1)-square triangle [r_d1 F  r_d2], F an upper-
+triangular factor of the prior, on top of an upper-triangular n x n
+prior block, with zeros under r_d2.  LAPACK dtpqrt factors the pair
+without touching the zeros of a dense (2n+1) x (n+1) stack, and the
+objective is read off the result,
+
+    r^2/sigma^2 + (N - n) log sigma^2 + [log det of the prior] + 2 log det R1.
+
+They differ only in the blocks they hand over:
+
+* ``nll_algorithm_a``   r_d1 F and sigma I, with F the *upper* factor of a
+                        numerical Cholesky of the dense kernel,
+                        F = J chol(J K J) J (J the order reversal); in
+                        g = F z the kernel determinant is absorbed into
+                        the triangle, so there is no prior term.  This
+                        is the conventional pipeline the stable
+                        evaluator is measured against.
+* ``nll_algorithm_b``   the same with F = U W^(1/2) written down in closed
+                        form instead of factorizing.
 * ``nll_algorithm_c``   the stable evaluator: writes the kernel as
                         K = S T S with S = diag(lam^(i/2)) and T the AR(1)
                         covariance, substitutes g = S g~, and stacks the
@@ -36,20 +50,14 @@ per-evaluation work:
                                   [ sigma D~^T   0    ]   ->  R1~, R2, r
 
                         (the unscaled stack [r_d1 r_d2; sigma D^T 0] with
-                        K^-1 = D D^T, times diag(S, 1)).  The top block is
-                        a triangle and the bottom one upper trapezoidal,
-                        so LAPACK dtpqrt factors the pair.  The objective
-                        is read off the triangle:
-
-                            r^2/sigma^2 + (N - n) log sigma^2
-                            + n log c + (n-1) log(1 - rho^2)
-                            + 2 log det R1~,
-
-                        where the lam terms of log det K and log det R1
-                        cancel exactly.  Only 3 distinct scalars and n
-                        powers of lam are created before the QR, the
-                        kernel is never formed or factorized numerically,
-                        and nothing overflows when lam^n underflows.
+                        K^-1 = D D^T, times diag(S, 1)), with the
+                        closed-form log det T = n log c
+                        + (n-1) log(1 - rho^2) as the prior term: the lam
+                        terms of log det K and log det R1 cancel exactly.
+                        Only 3 distinct scalars and n powers of lam are
+                        created before the QR, the kernel is never formed
+                        or factorized numerically, and nothing overflows
+                        when lam^n underflows.
 
 ``map_estimate`` back-substitutes R1~ g~ = R2 and returns g = S g~; the
 useful identities R1^T R1 = sigma^2 K^-1 + Phi Phi^T, R1^T R2 = Phi Y and
@@ -58,13 +66,11 @@ R2^T R2 + r^2 = Y^T Y hold for R1 = R1~ S^-1 and are exploited by
 
 Every evaluator returns an :class:`ObjectiveEvaluation` carrying, besides
 the value and QR pieces, an *analytic* flop tally (the paper's closed
-per-step counts for a dense stack QR, not the flops LAPACK executes) and
-the measured wall time.
+per-step counts for a dense stack QR, not the flops LAPACK executes).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +130,7 @@ class PreprocessedData:
 
 @dataclass(eq=False)
 class ObjectiveEvaluation:
-    """One objective evaluation: value, QR pieces, analytic flops, wall time."""
+    """One objective evaluation: value, QR pieces and analytic flops."""
 
     algorithm: str
     value: float
@@ -132,12 +138,11 @@ class ObjectiveEvaluation:
     r2: np.ndarray
     r_scalar: float
     flops: dict
-    wall_time: float
 
 
-# block size of evaluator C's dtpqrt, chosen by timing nb in 1..64: 8 was
-# fastest at n = 125 and close to the best for n in 10..500, with 1 and 2
-# BLAS threads.  LAPACK requires nb <= n + 1.
+# block size of the evaluators' dtpqrt, chosen for C by timing nb in 1..64:
+# 8 was fastest at n = 125 and close to the best for n in 10..500, with 1
+# and 2 BLAS threads.  LAPACK requires nb <= n + 1.
 _TPQRT_BLOCK = 8
 
 
@@ -313,80 +318,91 @@ def nll_naive(hyper, sigma2: float, data: RegressionData) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(low)))) + float(half @ half)
 
 
-def _whitened_value(
-    factor: np.ndarray, sigma2: float, pre: PreprocessedData
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Shared tail of algorithms A and B.
+def _pair_qr(
+    top_left: np.ndarray, bottom: np.ndarray, pre: PreprocessedData
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Triangle of the evaluation stack [top_left r_d2; bottom 0], shared by A, B and C.
 
-    Substituting g = F z (F F^T = K) turns the objective into a ridge
-    problem in z; its compressed stack is [r_d1 F, r_d2; sqrt(sigma2) I, 0]
-    and the kernel determinant is absorbed into the triangle.
+    ``top_left`` is the (n+1) x n upper-trapezoidal product of r_d1 with an
+    upper-triangular factor, ``bottom`` the n x n upper-triangular prior
+    block.  The top block is then the (n+1)-square triangle and the bottom
+    block upper trapezoidal, so LAPACK xTPQRT factors the pair without
+    touching the zeros of a dense (2n+1) x (n+1) stack.  Returns
+    ``(r1, r2, r)`` in the positive-diagonal convention.
     """
     n = pre.n
-    sroot = np.sqrt(sigma2)
-    stack = np.zeros((2 * n + 1, n + 1))
-    stack[: n + 1, :n] = pre.r_d1 @ factor
-    stack[: n + 1, n] = pre.r_d2
-    idx = np.arange(n)
-    stack[n + 1 + idx, idx] = sroot
-    r = _positive_diagonal(np.linalg.qr(stack, mode="r"))
-    diag = np.diagonal(r)[:n]
-    if np.any(diag <= 0):
-        raise NumericalError("stacked QR produced a singular triangle")
-    value = (
-        r[n, n] ** 2 / sigma2
-        + (pre.n_samples - n) * np.log(sigma2)
-        + 2.0 * float(np.sum(np.log(diag)))
+    top = np.empty((n + 1, n + 1), order="F")
+    top[:, :n] = top_left
+    top[:, n] = pre.r_d2
+    pair = np.zeros((n, n + 1), order="F")
+    pair[:, :n] = bottom
+    r, _, _, _ = scipy.linalg.lapack.dtpqrt(
+        n, min(_TPQRT_BLOCK, n + 1), top, pair, overwrite_a=True, overwrite_b=True
     )
-    return float(value), r[:n, :n], r[:n, n], float(r[n, n])
+    r = _positive_diagonal(r)
+    if np.any(np.diagonal(r)[:n] <= 0):
+        raise NumericalError("stacked QR produced a singular triangle")
+    return r[:n, :n], r[:n, n], float(r[n, n])
+
+
+def _objective(
+    r1: np.ndarray, r: float, sigma2: float, pre: PreprocessedData, *logdet_prior: float
+) -> float:
+    """r^2/sigma^2 + (N - n) log sigma^2 + [logdet_prior terms] + 2 log det r1.
+
+    The prior's log-determinant terms are added one by one, in order.
+    """
+    value = r**2 / sigma2 + (pre.n_samples - pre.n) * np.log(sigma2)
+    for term in logdet_prior:
+        value += term
+    return float(value + 2.0 * float(np.sum(np.log(np.diagonal(r1)))))
 
 
 def nll_algorithm_a(hyper, sigma2: float, pre: PreprocessedData) -> ObjectiveEvaluation:
     """Conventional evaluator: numerical Cholesky of the dense kernel.
 
-    Steps: (1) build K and factorize it numerically (no closed forms);
-    (2) multiply the factor into the compressed data; (3) thin QR of the
-    (2n+1) x (n+1) stack; (4) evaluate.  The factorization is the
-    vulnerable step: K's condition number grows like lam^-n / (1 - rho^2).
+    Steps: (1) build K and factorize it numerically (no closed forms) as
+    K = F F^T with F upper triangular, F = J chol(J K J) J for the order
+    reversal J; (2) multiply the factor into the compressed data; (3) QR
+    of the pair [r_d1 F r_d2; sigma I 0] (see :func:`_pair_qr`);
+    (4) evaluate.  In g = F z the kernel determinant is absorbed into the
+    triangle.  The factorization is the vulnerable step: it fails once the
+    trailing entries of K underflow (lam^n out of double range).
     """
-    t0 = time.perf_counter()
     h = _coerce(hyper).require_strict()
     sigma2 = _check_sigma2(sigma2)
     k = _kernel.build_dc_kernel(h, pre.n)
     try:
-        factor = np.linalg.cholesky(k)
+        factor = np.linalg.cholesky(k[::-1, ::-1])[::-1, ::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "numerical Cholesky of the kernel matrix failed "
             f"(ill-conditioned at c={h.c}, lam={h.lam}, rho={h.rho}, n={pre.n})"
         ) from exc
-    value, r1, r2, r_scalar = _whitened_value(factor, sigma2, pre)
+    r1, r2, r_scalar = _pair_qr(pre.r_d1 @ factor, np.sqrt(sigma2) * np.eye(pre.n), pre)
     return ObjectiveEvaluation(
         algorithm="a",
-        value=value,
+        value=_objective(r1, r_scalar, sigma2, pre),
         r1=r1,
         r2=r2,
         r_scalar=r_scalar,
         flops=algorithm_a_flops(pre.n),
-        wall_time=time.perf_counter() - t0,
     )
 
 
 def nll_algorithm_b(hyper, sigma2: float, pre: PreprocessedData) -> ObjectiveEvaluation:
     """Algorithm A with the factorization step replaced by the closed form U W^(1/2)."""
-    t0 = time.perf_counter()
     h = _coerce(hyper).require_strict()
     sigma2 = _check_sigma2(sigma2)
     factor = _kernel.dc_cholesky_factor(h, pre.n)
-    value, r1, r2, r_scalar = _whitened_value(factor, sigma2, pre)
+    r1, r2, r_scalar = _pair_qr(pre.r_d1 @ factor, np.sqrt(sigma2) * np.eye(pre.n), pre)
     return ObjectiveEvaluation(
         algorithm="b",
-        value=value,
+        value=_objective(r1, r_scalar, sigma2, pre),
         r1=r1,
         r2=r2,
         r_scalar=r_scalar,
         flops=algorithm_b_flops(pre.n),
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -406,32 +422,21 @@ def _stacked_qr_c(
 
     where nothing overflows when lam^n underflows (D itself carries
     lam^(-n/2); the smallest powers in S may underflow to 0 harmlessly).
-    The top block is the (n+1)-square triangle and the bottom block is
-    upper trapezoidal, so LAPACK xTPQRT factors the pair without touching
-    the zeros of a dense stack.
+    The pair is factored by :func:`_pair_qr`.
 
     Returns ``(r1s, r2, r, scale)`` with ``scale`` the diagonal of S and
     R1 = r1s S^-1, in the positive-diagonal convention.
     """
     n = pre.n
     scale = h.lam ** (np.arange(1, n + 1) / 2.0)
-    top = np.empty((n + 1, n + 1), order="F")
-    top[:, :n] = pre.r_d1 * scale
-    top[:, n] = pre.r_d2
     d = np.sqrt(sigma2 / (h.c * (1.0 - h.rho**2)))
-    bottom = np.zeros((n, n + 1), order="F")
+    bottom = np.zeros((n, n))
     idx = np.arange(n)
     bottom[idx, idx] = d
     bottom[n - 1, n - 1] = np.sqrt(sigma2 / h.c)  # T's last weight has no (1 - rho^2)
     # D~^T is upper bidiagonal: row j also carries D~[j+1, j] = -rho d
     bottom[idx[:-1], idx[:-1] + 1] = -h.rho * d
-    r, _, _, _ = scipy.linalg.lapack.dtpqrt(
-        n, min(_TPQRT_BLOCK, n + 1), top, bottom, overwrite_a=True, overwrite_b=True
-    )
-    r = _positive_diagonal(r)
-    if np.any(np.diagonal(r)[:n] <= 0):
-        raise NumericalError("stacked QR produced a singular triangle")
-    return r[:n, :n], r[:n, n], float(r[n, n]), scale
+    return (*_pair_qr(pre.r_d1 * scale, bottom, pre), scale)
 
 
 def _unscaled_r1(r1s: np.ndarray, h: DcHyperparams) -> np.ndarray:
@@ -453,9 +458,9 @@ def nll_algorithm_c(hyper, sigma2: float, pre: PreprocessedData) -> ObjectiveEva
     Steps: (1) write down the bidiagonal factor D~ of the inverse AR(1)
     part of the kernel (three distinct scalars) and scale the data columns
     by lam^(i/2); (2) QR of the triangular-pentagonal pair
-    [r_d1 S r_d2; sigma D~^T 0] by LAPACK dtpqrt (see
-    :func:`_stacked_qr_c`); (3) assemble the value from r, the triangle's
-    log-diagonal and the closed-form log-determinant of the AR(1) part:
+    [r_d1 S r_d2; sigma D~^T 0] (see :func:`_stacked_qr_c`); (3) assemble
+    the value from r, the triangle's log-diagonal and the closed-form
+    log-determinant of the AR(1) part:
 
         r^2/sigma^2 + (N - n) log sigma^2 + n log c
         + (n-1) log(1 - rho^2) + 2 log det R1~.
@@ -467,26 +472,19 @@ def nll_algorithm_c(hyper, sigma2: float, pre: PreprocessedData) -> ObjectiveEva
     :class:`SingularKernelError` is raised.  ``flops`` is the paper's
     analytic model of a dense stack QR, not the count dtpqrt executes.
     """
-    t0 = time.perf_counter()
     h = _coerce(hyper).require_strict()
     sigma2 = _check_sigma2(sigma2)
     n = pre.n
     r1s, r2, r_scalar, _ = _stacked_qr_c(h, sigma2, pre)
-    value = (
-        r_scalar**2 / sigma2
-        + (pre.n_samples - n) * np.log(sigma2)
-        + n * np.log(h.c)
-        + (n - 1) * np.log1p(-h.rho**2)
-        + 2.0 * float(np.sum(np.log(np.diagonal(r1s))))
-    )
     return ObjectiveEvaluation(
         algorithm="c",
-        value=float(value),
+        value=_objective(
+            r1s, r_scalar, sigma2, pre, n * np.log(h.c), (n - 1) * np.log1p(-h.rho**2)
+        ),
         r1=_unscaled_r1(r1s, h),
         r2=r2,
         r_scalar=r_scalar,
         flops=algorithm_c_flops(n),
-        wall_time=time.perf_counter() - t0,
     )
 
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import dcsysid
-from dcsysid import DcHyperparams, build_dc_kernel, dc_logdet
+from dcsysid import (
+    DcHyperparams,
+    algorithm_a_flops,
+    algorithm_c_flops,
+    build_dc_kernel,
+    dc_logdet,
+)
 from dcsysid.cli import main
 
 
@@ -211,6 +217,25 @@ class TestKernelInfo:
         for residual in results["factorization_residuals"].values():
             assert residual < 1e-10
 
+    @pytest.mark.parametrize(
+        "order, lam, rho, cond",
+        [("60", "1e-3", "0.98", 2.5301102171e178), ("1000", "0.6", "0.98", 5.03604e223)],
+    )
+    def test_finite_on_strongly_decaying_kernels(self, capsys, order, lam, rho, cond):
+        # the condition number leaves 1/eps far behind and norms of K^-1 overflow
+        code, text, err = run(
+            capsys, ["kernel-info", "-n", order, "--lam", lam, "--rho", rho]
+        )
+        assert code == 0, err
+        results = read_report(text)["results"]
+        assert np.isfinite(results["logdet"])
+        assert results["condition_number"] == pytest.approx(cond, rel=1e-5)
+        assert np.all(np.isfinite(results["inverse_band"]["main"]))
+        assert np.all(np.isfinite(results["inverse_band"]["sub"]))
+        for residual in results["factorization_residuals"].values():
+            assert np.isfinite(residual)
+        assert results["factorization_residuals"]["inverse_vs_ddt"] < 1e-10
+
     def test_domain_error(self, capsys):
         code, _, _ = run(capsys, ["kernel-info", "-n", "5", "--lam", "1.5", "--rho", "0.2"])
         assert code == 2
@@ -271,6 +296,10 @@ class TestBench:
         assert results["agreement"]["a_minus_c"] <= 1e-6 * abs(value)
         assert results["agreement"]["b_minus_c"] <= 1e-6 * abs(value)
         assert results["savings_percent"]["c_vs_a"] is not None
+        predicted = 1.0 - algorithm_c_flops(15)["total"] / algorithm_a_flops(15)["total"]
+        assert results["predicted_savings_percent"]["c_vs_a"] == pytest.approx(
+            100.0 * predicted, rel=1e-12
+        )
 
     def test_argument_validation(self, capsys):
         code, _, _ = run(capsys, ["bench", "-n", "10", "--samples", "5"])

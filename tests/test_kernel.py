@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from dcsysid import (
     DcHyperparams,
@@ -216,14 +218,57 @@ class TestConditionNumber:
             dc_condition_number(h, 40), np.linalg.cond(k), rtol=1e-6
         )
 
-    def test_power_iteration_branch(self):
+    def test_large_order(self):
         h = DcHyperparams(c=1.0, lam=0.95, rho=0.3)
-        n = 300  # beyond the dense-eigensolve cutoff
+        n = 300
         np.testing.assert_allclose(
             dc_condition_number(h, n),
             np.linalg.cond(build_dc_kernel(h, n)),
             rtol=0.05,
         )
+
+    @pytest.mark.parametrize(
+        "lam, rho, n",
+        [
+            (1e-4, 0.5, 40),
+            (1e-3, 0.98, 60),
+            (1e-4, -1 + 1e-4, 30),
+            (1 - 1e-4, 1 - 1e-4, 40),
+        ],
+    )
+    def test_matches_high_precision_reference(self, lam, rho, n):
+        # enough digits to resolve lam_min(K) ~ lam^n next to lam_max(K) ~ 1
+        with mp.workdps(int(-n * np.log10(lam)) + 40):
+            i = range(1, n + 1)
+            k = mp.matrix(
+                [[mp.mpf(lam) ** (mp.mpf(a + b) / 2) * mp.mpf(rho) ** abs(a - b) for b in i]
+                 for a in i]
+            )
+            eig = mp.eigsy(k, eigvals_only=True)
+            reference = float(max(eig) / min(eig))
+        np.testing.assert_allclose(
+            dc_condition_number(DcHyperparams(2.5, lam, rho), n), reference, rtol=1e-9
+        )
+
+    def test_finite_where_the_norms_overflow(self):
+        # ||K^-1|| ~ 1e223, so ||K^-1 x||^2 overflows; the condition number must not
+        h, n = DcHyperparams(c=1.0, lam=0.6, rho=0.98), 1000
+        cond = dc_condition_number(h, n)
+        kinv = dc_inverse(h, n)
+        top = kinv.main.max()
+        kinv_max = top * scipy.linalg.eigh_tridiagonal(
+            kinv.main / top, kinv.sub / top, eigvals_only=True
+        )[-1]
+        independent = np.linalg.eigvalsh(build_dc_kernel(h, n))[-1] * kinv_max
+        assert np.isfinite(cond)
+        np.testing.assert_allclose(cond, independent, rtol=1e-9)
+
+    def test_order_one(self):
+        assert dc_condition_number(DcHyperparams(c=3.0, lam=0.4, rho=0.9), 1) == 1.0
+
+    def test_unrepresentable_inverse_raises(self):
+        with pytest.raises(SingularKernelError):
+            dc_condition_number(DcHyperparams(c=1.0, lam=1e-4, rho=0.5), 100)
 
 
 class TestDerivatives:

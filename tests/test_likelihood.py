@@ -252,7 +252,6 @@ class TestFlopAccounting:
         ):
             ev = evaluate(h, 0.3, pre)
             assert ev.flops == tally(7)
-            assert ev.wall_time >= 0.0
         assert nll_algorithm_c(h, 0.3, pre).algorithm == "c"
 
     def test_evaluation_cost_ordering(self):

@@ -20,7 +20,6 @@ def load_script(name):
     [
         ("run_monte_carlo", ["--runs", "1", "-n", "6", "-N", "60", "--restarts", "1",
                              "--max-evals", "30"]),
-        ("run_timing_benchmark", ["--orders", "4", "--samples", "20", "--evals", "2"]),
     ],
 )
 def test_script_main_runs(name, argv, capsys):
