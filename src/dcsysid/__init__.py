@@ -70,6 +70,7 @@ from .likelihood import (
     nll_algorithm_c,
     nll_gradient_hessian,
     nll_naive,
+    nll_value_and_gradient,
     preprocess,
     preprocess_matrices,
     preprocessing_flops,
@@ -129,6 +130,7 @@ __all__ = [
     "nll_algorithm_b",
     "nll_algorithm_c",
     "map_estimate",
+    "nll_value_and_gradient",
     "nll_gradient_hessian",
     "preprocessing_flops",
     "algorithm_a_flops",

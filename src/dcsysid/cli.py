@@ -7,7 +7,8 @@ identify     fit DC hyperparameters and a MAP impulse response to a CSV
 kernel-info  closed-form facts about one kernel: log-determinant,
              condition number, inverse band and factorization residuals
 complete     maximum-entropy completion of a partial banded covariance
-bench        timed comparison of the three objective evaluators on
+bench        timed comparison of the three objective evaluators, and of
+             the value-and-gradient route against evaluator C, on
              synthetic data
 simulate     generate a noisy FIR dataset (and its true response) to CSV
 
@@ -31,6 +32,7 @@ import json
 import re
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,7 @@ from .likelihood import (
     nll_algorithm_a,
     nll_algorithm_b,
     nll_algorithm_c,
+    nll_value_and_gradient,
     preprocess_matrices,
 )
 from .maxent import (
@@ -211,11 +214,16 @@ def _cmd_kernel_info(args) -> tuple[dict, dict]:
     ddt_error = fact.d_cholesky @ fact.d_cholesky.T - inv_dense
     root = np.sqrt(inv.main)
     k_norm = np.linalg.norm(k)
+    # K K^-1 = S (T T^-1) S^-1 with S = diag(lam^(i/2)): entry (i, j) of
+    # K K^-1 - I carries lam^((i-j)/2), which this undoes
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
     residuals = {
         "kernel_vs_uwu": float(
             np.linalg.norm(fact.u @ (fact.w[:, None] * fact.u.T) - k) / k_norm
         ),
-        "identity_vs_k_kinv": float(np.linalg.norm(k @ inv_dense - np.eye(n))),
+        "identity_vs_k_kinv": float(
+            np.abs((k @ inv_dense - np.eye(n)) * h.lam ** (-offset / 2.0)).max()
+        ),
         # entrywise, scaled to K^-1's unit diagonal: a norm of K^-1 overflows
         # long before its entries do
         "inverse_vs_ddt": float(np.abs(ddt_error / np.outer(root, root)).max()),
@@ -268,39 +276,43 @@ def _cmd_bench(args) -> tuple[dict, dict]:
     y = rng.standard_normal(args.samples)
     pre = preprocess_matrices(phi_t, y)  # shared setup, excluded from timing
 
+    def timed(call):
+        """(elapsed, failures, last result) over args.evals calls, after a warm-up."""
+        for _ in range(min(50, args.evals)):  # untimed warm-up
+            try:
+                call()
+            except NumericalError:
+                pass
+        failures, last = 0, None
+        start = time.perf_counter()
+        for _ in range(args.evals):
+            try:
+                last = call()
+            except NumericalError:
+                failures += 1
+        return time.perf_counter() - start, failures, last
+
     algorithms = {}
-    values = {}
     for name, evaluate in (
         ("a", nll_algorithm_a),
         ("b", nll_algorithm_b),
         ("c", nll_algorithm_c),
     ):
-        for _ in range(min(50, args.evals)):  # untimed warm-up
-            try:
-                evaluate(h, args.sigma2, pre)
-            except NumericalError:
-                pass
-        failures = 0
-        value = None
-        flops = None
-        start = time.perf_counter()
-        for _ in range(args.evals):
-            try:
-                evaluation = evaluate(h, args.sigma2, pre)
-            except NumericalError:
-                failures += 1
-                continue
-            value = evaluation.value
-            flops = evaluation.flops
-        elapsed = time.perf_counter() - start
+        elapsed, failures, evaluation = timed(partial(evaluate, h, args.sigma2, pre))
         algorithms[name] = {
             "time_total_seconds": elapsed,
             "time_per_eval_seconds": elapsed / args.evals,
             "failures": failures,
-            "value": value,
-            "flops": flops,
+            "value": None if evaluation is None else evaluation.value,
+            "flops": None if evaluation is None else evaluation.flops,
         }
-        values[name] = value
+    elapsed, failures, _ = timed(partial(nll_value_and_gradient, h, args.sigma2, pre))
+    per_eval = elapsed / args.evals
+    gradient = {
+        "time_per_eval_seconds": per_eval,
+        "c_evaluations": per_eval / algorithms["c"]["time_per_eval_seconds"],
+        "failures": failures,
+    }
 
     def savings(fast, slow):
         t_fast = algorithms[fast]["time_total_seconds"]
@@ -310,9 +322,10 @@ def _cmd_bench(args) -> tuple[dict, dict]:
         return 100.0 * (1.0 - t_fast / t_slow)
 
     def agreement(first, second):
-        if values[first] is None or values[second] is None:
+        v_first, v_second = algorithms[first]["value"], algorithms[second]["value"]
+        if v_first is None or v_second is None:
             return None
-        return abs(values[first] - values[second])
+        return abs(v_first - v_second)
 
     flops_ratio = algorithm_c_flops(args.order)["total"] / algorithm_a_flops(args.order)["total"]
     results = {
@@ -322,6 +335,7 @@ def _cmd_bench(args) -> tuple[dict, dict]:
         "hyperparameters": _hyper_dict(h),
         "sigma2": args.sigma2,
         "algorithms": algorithms,
+        "gradient": gradient,
         "savings_percent": {
             "c_vs_a": savings("c", "a"),
             "c_vs_b": savings("c", "b"),

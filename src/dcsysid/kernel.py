@@ -29,8 +29,9 @@ instead of falling back on generic dense linear algebra:
                             bottoms out at the double-precision floor
                             (~1e16) long before the true condition number
                             of strongly decaying kernels.
-* ``dc_kernel_gradient``    elementwise derivatives of K in (c, lam, rho),
-                            used by the marginal-likelihood gradient.
+* ``dc_kernel_gradient``    elementwise derivatives of K in (c, lam, rho);
+                            the dense reference for the marginal-likelihood
+                            derivatives, which never form them.
 
 Formulas above use 1-based indices i, j = 1..n; returned arrays use
 native 0-based indexing, so ``K[0, 0]`` is the i = j = 1 entry.  The

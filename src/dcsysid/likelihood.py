@@ -59,10 +59,24 @@ They differ only in the blocks they hand over:
                         or factorized numerically, and nothing overflows
                         when lam^n underflows.
 
-``map_estimate`` back-substitutes R1~ g~ = R2 and returns g = S g~; the
-useful identities R1^T R1 = sigma^2 K^-1 + Phi Phi^T, R1^T R2 = Phi Y and
-R2^T R2 + r^2 = Y^T Y hold for R1 = R1~ S^-1 and are exploited by
-``nll_gradient_hessian``.
+``map_estimate`` back-substitutes R1~ g~ = R2 and returns g = S g~.
+
+Derivatives stay in the same decay-scaled coordinates, so they are finite
+wherever C's value is.  With W = R1~^-1 (one LAPACK dtrtri),
+M~^-1 = W W^T, g~ = W R2 and the tridiagonal, closed-form
+B_eta = S (dK^-1/d eta) S (B_c = -T^-1/c, B_lam[i, j] =
+-(i+j)/(2 lam) T^-1[i, j], B_rho = dT^-1/d rho, T^-1 the AR(1) precision):
+
+    dl/d eta     = d log det K/d eta + sigma^2 tr(M~^-1 B_eta) + g~^T B_eta g~
+    dl/d sigma^2 = (N - n)/sigma^2 + tr(M~^-1 T^-1) + g~^T T^-1 g~ / sigma^2
+                   - r^2/sigma^4
+
+(the trace form of Rasmussen & Williams 2006, sec. 5.4).  The traces read
+only the main and first off-diagonal of M~^-1, row dot products of W.
+``nll_value_and_gradient`` returns C's value with this gradient;
+``nll_gradient_hessian`` adds the Hessian, whose traces
+tr(M~^-1 B_i M~^-1 B_j) take the dense W W^T at O(n^2) each.  No dense
+kernel, K^-1 or derivative array is built.
 
 Every evaluator returns an :class:`ObjectiveEvaluation` carrying, besides
 the value and QR pieces, an *analytic* flop tally (the paper's closed
@@ -94,6 +108,7 @@ __all__ = [
     "nll_algorithm_b",
     "nll_algorithm_c",
     "map_estimate",
+    "nll_value_and_gradient",
     "nll_gradient_hessian",
     "preprocessing_flops",
     "algorithm_a_flops",
@@ -452,6 +467,14 @@ def _unscaled_r1(r1s: np.ndarray, h: DcHyperparams) -> np.ndarray:
     return r1
 
 
+def _value_c(
+    r1s: np.ndarray, r: float, h: DcHyperparams, sigma2: float, pre: PreprocessedData
+) -> float:
+    """Evaluator C's value, with the closed-form log det T as prior terms."""
+    n = pre.n
+    return _objective(r1s, r, sigma2, pre, n * np.log(h.c), (n - 1) * np.log1p(-h.rho**2))
+
+
 def nll_algorithm_c(hyper, sigma2: float, pre: PreprocessedData) -> ObjectiveEvaluation:
     """Stable evaluator built on the closed-form factor of the inverse kernel.
 
@@ -474,17 +497,14 @@ def nll_algorithm_c(hyper, sigma2: float, pre: PreprocessedData) -> ObjectiveEva
     """
     h = _coerce(hyper).require_strict()
     sigma2 = _check_sigma2(sigma2)
-    n = pre.n
     r1s, r2, r_scalar, _ = _stacked_qr_c(h, sigma2, pre)
     return ObjectiveEvaluation(
         algorithm="c",
-        value=_objective(
-            r1s, r_scalar, sigma2, pre, n * np.log(h.c), (n - 1) * np.log1p(-h.rho**2)
-        ),
+        value=_value_c(r1s, r_scalar, h, sigma2, pre),
         r1=_unscaled_r1(r1s, h),
         r2=r2,
         r_scalar=r_scalar,
-        flops=algorithm_c_flops(n),
+        flops=algorithm_c_flops(pre.n),
     )
 
 
@@ -503,46 +523,177 @@ def map_estimate(hyper, sigma2: float, pre: PreprocessedData) -> np.ndarray:
         raise NumericalError("triangular solve for the MAP estimate failed") from exc
 
 
+# --- derivatives ---------------------------------------------------------------
+#
+# A symmetric tridiagonal matrix B is held as one band vector of length
+# 2n - 1: its main diagonal, then its first off-diagonal.  For the band
+# vectors v of a symmetric M and q of g g^T, with off-diagonals doubled,
+# tr(M B) = B @ v and g^T B g = B @ q, so a stack of bands is traced in one
+# product.
+
+
+def _ar1_precision(h: DcHyperparams, n: int, orders: int) -> np.ndarray:
+    """Band vectors of d^k T^-1 / d rho^k for k < orders, one per row.
+
+    T^-1 is the closed-form tridiagonal precision of the AR(1) part
+    T = c rho^|i-j| of the kernel: with f = 1/(1 - rho^2), its main
+    diagonal is (f/c) (1, 1 + rho^2, ..., 1 + rho^2, 1) and its
+    off-diagonal -rho f/c; at n = 1 it is 1/c, which does not depend on rho.
+    """
+    rho = h.rho
+    f = 1.0 / (1.0 - rho**2)
+    # (ends of the main diagonal, its interior, the off-diagonal) of each order
+    coefficients = (
+        (f, (1.0 + rho**2) * f, -rho * f),
+        (2.0 * rho * f**2, 4.0 * rho * f**2, -(1.0 + rho**2) * f**2),
+        ((2.0 + 6.0 * rho**2) * f**3, (4.0 + 12.0 * rho**2) * f**3,
+         -2.0 * rho * (3.0 + rho**2) * f**3),
+    )
+    out = np.empty((orders, 2 * n - 1))
+    for row, (end, inner, off) in zip(out, coefficients):
+        row[:n] = inner / h.c
+        row[n:] = off / h.c
+        row[0] = row[n - 1] = end / h.c
+    if n == 1:
+        out[:, 0] = 0.0
+        out[0, 0] = 1.0 / h.c
+    return out
+
+
+def _band_positions(n: int) -> np.ndarray:
+    """(i + j)/2, 1-based, at each entry of a band vector."""
+    return np.concatenate((np.arange(1.0, n + 1), np.arange(1.5, n)))
+
+
+def _band_matmul(m: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """M B for a dense M and a band vector, in O(n^2)."""
+    n = m.shape[0]
+    sub = band[n:]
+    out = m * band[:n]
+    out[:, 1:] += m[:, :-1] * sub
+    out[:, :-1] += m[:, 1:] * sub
+    return out
+
+
+def _band_vec(band: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """B g for a band vector."""
+    n = g.shape[0]
+    sub = band[n:]
+    out = band[:n] * g
+    out[:-1] += sub * g[1:]
+    out[1:] += sub * g[:-1]
+    return out
+
+
+def _value_gradient_pieces(hyper, sigma2: float, pre: PreprocessedData):
+    """Value and gradient in (c, lam, rho, sigma^2), with what the Hessian reuses.
+
+    One stacked QR (as evaluator C) gives R1~, R2 and r; one LAPACK dtrtri
+    gives W = R1~^-1, so M~^-1 = W W^T for M~ = R1~^T R1~ = S M S, and
+    g~ = W R2 (the MAP estimate is S g~).  Since
+    K^-1 = S^-1 T^-1 S^-1 with S = diag(lam^(i/2)), each
+    B_eta = S (dK^-1/d eta) S is tridiagonal in closed form:
+    B_c = -T^-1/c, B_lam[i, j] = -(i+j)/(2 lam) T^-1[i, j] and
+    B_rho = dT^-1/d rho.  The traces read only the main and first
+    off-diagonal of M~^-1, row dot products of W.
+
+    Returns ``(value, grad, w, g, rows, x)``: ``rows`` holds the band
+    vectors of T^-1, dT^-1/d rho and (i+j)/2 T^-1, ``x`` those of M~^-1
+    and g~ g~^T (off-diagonals doubled).
+    """
+    h = _coerce(hyper).require_strict()
+    sigma2 = _check_sigma2(sigma2)
+    n = pre.n
+    r1s, r2, r, _ = _stacked_qr_c(h, sigma2, pre)
+    w, info = scipy.linalg.lapack.dtrtri(r1s)
+    if info != 0:
+        raise NumericalError("inverting the stacked-QR triangle failed")
+    g = w @ r2
+    x = np.empty((2, 2 * n - 1))
+    np.einsum("ij,ij->i", w, w, out=x[0, :n])
+    np.einsum("ij,ij->i", w[:-1], w[1:], out=x[0, n:])
+    np.multiply(g, g, out=x[1, :n])
+    np.multiply(g[:-1], g[1:], out=x[1, n:])
+    x[:, n:] *= 2.0
+    prec = _ar1_precision(h, n, 2)
+    rows = np.vstack((prec, _band_positions(n) * prec[0]))
+    (tr_t, q_t), (tr_rho, q_rho), (tr_pos, q_pos) = (rows @ x.T).tolist()
+    grad = np.array([
+        n / h.c - (sigma2 * tr_t + q_t) / h.c,
+        n * (n + 1) / (2.0 * h.lam) - (sigma2 * tr_pos + q_pos) / h.lam,
+        -2.0 * h.rho * (n - 1) / (1.0 - h.rho**2) + sigma2 * tr_rho + q_rho,
+        (pre.n_samples - n) / sigma2 + tr_t + q_t / sigma2 - r**2 / sigma2**2,
+    ])
+    return _value_c(r1s, r, h, sigma2, pre), grad, w, g, rows, x
+
+
+def nll_value_and_gradient(
+    hyper, sigma2: float, pre: PreprocessedData
+) -> tuple[float, np.ndarray]:
+    """Objective value and its gradient in (c, lam, rho, sigma^2).
+
+    The value is evaluator C's, bit for bit (same stacked QR, same
+    summation).  The gradient comes from the same triangle and one
+    triangular inverse W = R1~^-1, in the decay-scaled coordinates
+    (see :func:`_value_gradient_pieces`):
+
+        dl/d eta     = d log det K/d eta + sigma^2 tr(M~^-1 B_eta) + g~^T B_eta g~
+        dl/d sigma^2 = (N - n)/sigma^2 + tr(M~^-1 T^-1) + g~^T T^-1 g~ / sigma^2
+                       - r^2/sigma^4
+
+    The cost past the QR is n^3/3 flops for dtrtri plus O(n^2); no dense
+    kernel is formed, and the gradient is finite wherever the value is.
+    """
+    value, grad, *_ = _value_gradient_pieces(hyper, sigma2, pre)
+    return value, grad
+
+
 def nll_gradient_hessian(
     hyper, sigma2: float, pre: PreprocessedData
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient and Hessian of the objective in (c, lam, rho).
 
-    Uses the trace form
+    The gradient is that of :func:`nll_value_and_gradient`.  The Hessian
+    adds the dense M~^-1 = W W^T and the closed-form tridiagonal
+    B_ij = S (d^2 K^-1/d eta_i d eta_j) S:
 
-        dl/deta_i       = tr((X1 - X2) dK_i)
-        d2l/deta_i eta_j = tr((X1 - X2) d2K_ij)
-                           + tr((X1 dK_i X2 - (X1 - X2) dK_i X1) dK_j)
+        d^2 l/d eta_i d eta_j = d^2 log det K + sigma^2 tr(M~^-1 B_ij)
+                                - sigma^4 tr(M~^-1 B_i M~^-1 B_j)
+                                + g~^T B_ij g~
+                                - 2 sigma^2 (B_i g~)^T M~^-1 (B_j g~),
 
-    with X1 = K^-1 - sigma^2 K^-1 (R1^T R1)^-1 K^-1 and
-    X2 = K^-1 R1^-1 R2 (K^-1 R1^-1 R2)^T, all assembled from the closed
-    tridiagonal inverse and triangular solves against R1 -- the dense
-    kernel is never factorized.
+    each trace O(n^2).  The kernel is never formed, inverted or
+    factorized.
     """
-    h = _coerce(hyper).require_strict()
-    sigma2 = _check_sigma2(sigma2)
-    n = pre.n
-    r1s, r2, _, _ = _stacked_qr_c(h, sigma2, pre)
-    r1 = _unscaled_r1(r1s, h)
-    kinv = _kernel.dc_inverse(h, n).to_dense()
-
-    def m_solve(b):
-        # (R1^T R1)^-1 b via two triangular solves
-        z = scipy.linalg.solve_triangular(r1, b, trans="T")
-        return scipy.linalg.solve_triangular(r1, z)
-
-    x1 = kinv - sigma2 * kinv @ m_solve(kinv)
-    ghat = scipy.linalg.solve_triangular(r1, r2)
-    uvec = kinv @ ghat
-    x2 = np.outer(uvec, uvec)
-    g_mat = x1 - x2
-
-    dks = np.stack(_kernel.dc_kernel_gradient(h, n))
-    d2ks = _kernel.dc_kernel_hessian(h, n)
-    grad = np.array([np.sum(g_mat * dks[i]) for i in range(3)])
+    _, grad, w, g, (t, t_rho, pos_t), x = _value_gradient_pieces(hyper, sigma2, pre)
+    h, sigma2, n = _coerce(hyper), float(sigma2), pre.n
+    pos = _band_positions(n)
+    first = (-t / h.c, -pos_t / h.lam, t_rho)
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    second = np.stack((
+        2.0 / h.c**2 * t,
+        pos_t / (h.c * h.lam),
+        -t_rho / h.c,
+        (pos + 1.0) * pos_t / h.lam**2,
+        -pos / h.lam * t_rho,
+        _ar1_precision(h, n, 3)[2],
+    ))
+    logdet = np.diag([
+        -n / h.c**2,
+        -n * (n + 1) / (2.0 * h.lam**2),
+        -2.0 * (n - 1) * (1.0 + h.rho**2) / (1.0 - h.rho**2) ** 2,
+    ])
+    traces, quads = second @ x[0], second @ x[1]
+    m_inv = w @ w.T
+    mb = [_band_matmul(m_inv, band) for band in first]
+    wb = [w.T @ _band_vec(band, g) for band in first]
     hess = np.empty((3, 3))
-    for i in range(3):
-        term = x1 @ dks[i] @ x2 - g_mat @ dks[i] @ x1
-        for j in range(3):
-            hess[i, j] = np.sum(g_mat * d2ks[i, j]) + np.sum(term * dks[j])
-    return grad, hess
+    for k, (i, j) in enumerate(pairs):
+        hess[i, j] = hess[j, i] = (
+            logdet[i, j]
+            + sigma2 * traces[k]
+            - sigma2**2 * float(np.sum(mb[i] * mb[j].T))
+            + quads[k]
+            - 2.0 * sigma2 * float(wb[i] @ wb[j])
+        )
+    return grad[:3], hess

@@ -10,6 +10,10 @@ solvers are unconstrained and the kernel-validity box can never be left:
                          search space.
 * ``gradient-assisted``  L-BFGS from the same starts, fed the analytic
                          gradient chain-ruled through the squash maps.
+                         Each step costs one stacked QR and one triangular
+                         inverse (LAPACK dtrtri) in the decay-scaled
+                         coordinates, with no dense kernel; under the
+                         ``joint`` policy the gradient includes sigma^2.
 
 Each objective evaluation uses the stable stacked-QR evaluator; numerical
 failures inside one start are scored with a huge finite penalty (1e300,
@@ -33,14 +37,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 from scipy.special import expit, logit
 from scipy.stats import qmc
 
-from .kernel import DcHyperparams, dc_inverse
+from .kernel import DcHyperparams
+from .kernel import dc_inverse  # noqa: F401 -- unused; perfbench/tracing.py binds this name
 from .likelihood import (NumericalError, PreprocessedData, ls_estimate, map_estimate,
-                         nll_algorithm_c, nll_gradient_hessian, preprocess)
+                         nll_algorithm_c, nll_gradient_hessian, nll_value_and_gradient,
+                         preprocess)
 from .regression import RegressionData
 
 __all__ = [
@@ -223,24 +228,6 @@ def _chain_factors(u: np.ndarray, cfg: TunerConfig, joint: bool) -> np.ndarray:
     return np.array(out)
 
 
-def _sigma2_derivative(h, sigma2, pre, ev) -> float:
-    """d(objective)/d(sigma2) from the pieces of one stacked-QR evaluation."""
-    n = pre.n
-    kinv = dc_inverse(h, n).to_dense()
-
-    def m_solve(b):
-        z = scipy.linalg.solve_triangular(ev.r1, b, trans="T")
-        return scipy.linalg.solve_triangular(ev.r1, z)
-
-    z = m_solve(pre.r_d1.T @ pre.r_d2)
-    return float(
-        (pre.n_samples - n) / sigma2
-        + np.trace(m_solve(kinv))
-        + (z @ (kinv @ z)) / sigma2
-        - ev.r_scalar**2 / sigma2**2
-    )
-
-
 def _halton_starts(cfg: TunerConfig) -> list[tuple[float, float, float]]:
     """Deterministic low-discrepancy restart points over the start sub-box."""
 
@@ -313,16 +300,12 @@ def tune(data: RegressionData, config: TunerConfig | None = None) -> Identificat
         h, s2 = _decode(u, cfg, joint)
         s2 = s2 if joint else sigma2_init
         try:
-            ev = nll_algorithm_c(h, s2, pre)
-            if not np.isfinite(ev.value) or ev.value >= _PENALTY:
-                raise NumericalError("objective not finite")
-            grad, _ = nll_gradient_hessian(h, s2, pre)
-            grad = list(grad)
-            if joint:
-                grad.append(_sigma2_derivative(h, s2, pre, ev))
-            grad_u = np.asarray(grad) * _chain_factors(u, cfg, joint)
+            value, grad = nll_value_and_gradient(h, s2, pre)
+            if not np.isfinite(value) or value >= _PENALTY or not np.all(np.isfinite(grad)):
+                raise NumericalError("objective or gradient not finite")
+            grad_u = (grad if joint else grad[:3]) * _chain_factors(u, cfg, joint)
             grad_u += np.sign(u) * (np.abs(u) > 50.0)
-            return ev.value + barrier(u), grad_u
+            return value + barrier(u), grad_u
         except (NumericalError, ValueError, np.linalg.LinAlgError):
             return _PENALTY, np.zeros(4 if joint else 3)
 

@@ -240,21 +240,26 @@ def test_criterion_06_map_equals_dense_formula():
     assert ok, line
 
 
+def _derivative_problem(seed):
+    """Criterion 07's seeded problem number `seed`: (pre, h, sigma2)."""
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(3, 26))
+    n_samples = int(rng.integers(3 * n + 20, 301))
+    h = DcHyperparams(c=float(10 ** rng.uniform(-0.5, 0.5)),
+                      lam=float(rng.uniform(0.55, 0.9)),
+                      rho=float(rng.uniform(-0.85, 0.85)))
+    sigma2 = float(rng.uniform(0.05, 0.5))
+    g = dc_cholesky_factor(h, n) @ rng.standard_normal(n)
+    u = rng.standard_normal(n_samples)
+    y = simulate_fir(g, u, sigma2=sigma2, seed=seed)
+    return preprocess(RegressionData(u=u, y=y, n=n)), h, sigma2
+
+
 def test_criterion_07_gradient_and_hessian():
     worst_grad = 0.0
     worst_sym = 0.0
     for seed in range(20):
-        rng = np.random.default_rng(700 + seed)
-        n = int(rng.integers(3, 26))
-        n_samples = int(rng.integers(3 * n + 20, 301))
-        h = DcHyperparams(c=float(10 ** rng.uniform(-0.5, 0.5)),
-                          lam=float(rng.uniform(0.55, 0.9)),
-                          rho=float(rng.uniform(-0.85, 0.85)))
-        sigma2 = float(rng.uniform(0.05, 0.5))
-        g = dc_cholesky_factor(h, n) @ rng.standard_normal(n)
-        u = rng.standard_normal(n_samples)
-        y = simulate_fir(g, u, sigma2=sigma2, seed=seed)
-        pre = preprocess(RegressionData(u=u, y=y, n=n))
+        pre, h, sigma2 = _derivative_problem(seed)
         grad, hess = nll_gradient_hessian(h, sigma2, pre)
         eta = np.array([h.c, h.lam, h.rho])
         fd = np.empty(3)

@@ -235,6 +235,7 @@ class TestKernelInfo:
         for residual in results["factorization_residuals"].values():
             assert np.isfinite(residual)
         assert results["factorization_residuals"]["inverse_vs_ddt"] < 1e-10
+        assert results["factorization_residuals"]["identity_vs_k_kinv"] < 1e-10
 
     def test_domain_error(self, capsys):
         code, _, _ = run(capsys, ["kernel-info", "-n", "5", "--lam", "1.5", "--rho", "0.2"])
@@ -296,6 +297,10 @@ class TestBench:
         assert results["agreement"]["a_minus_c"] <= 1e-6 * abs(value)
         assert results["agreement"]["b_minus_c"] <= 1e-6 * abs(value)
         assert results["savings_percent"]["c_vs_a"] is not None
+        gradient = results["gradient"]
+        assert gradient["failures"] == 0
+        assert gradient["time_per_eval_seconds"] > 0
+        assert gradient["c_evaluations"] > 0
         predicted = 1.0 - algorithm_c_flops(15)["total"] / algorithm_a_flops(15)["total"]
         assert results["predicted_savings_percent"]["c_vs_a"] == pytest.approx(
             100.0 * predicted, rel=1e-12

@@ -18,10 +18,13 @@ from dcsysid import (
     nll_algorithm_c,
     nll_gradient_hessian,
     nll_naive,
+    nll_value_and_gradient,
     preprocess,
     preprocess_matrices,
     preprocessing_flops,
 )
+from dense_oracle import dense_gradient_hessian, dense_sigma2_derivative
+from test_acceptance import _derivative_problem, _random_problem
 
 
 class TestPreprocess:
@@ -221,6 +224,64 @@ class TestDerivatives:
             gp, _ = nll_gradient_hessian(DcHyperparams(*(params + step)), 0.3, pre)
             gm, _ = nll_gradient_hessian(DcHyperparams(*(params - step)), 0.3, pre)
             np.testing.assert_allclose(hess[i], (gp - gm) / (2 * eps), rtol=1e-4)
+
+    def test_match_the_dense_oracle(self):
+        # criterion 07's 20 problems, plus orders 1 and 2, where T^-1 has no
+        # off-diagonal or no interior
+        problems = [_derivative_problem(seed) for seed in range(20)]
+        for n in (1, 2):
+            rng = np.random.default_rng(40 + n)
+            pre = preprocess_matrices(rng.standard_normal((30, n)), rng.standard_normal(30))
+            problems.append((pre, DcHyperparams(c=1.3, lam=0.7, rho=-0.4), 0.3))
+        worst = 0.0
+        for pre, h, sigma2 in problems:
+            grad_ref, hess_ref = dense_gradient_hessian(h, sigma2, pre)
+            d_sigma2_ref = dense_sigma2_derivative(h, sigma2, pre)
+            grad, hess = nll_gradient_hessian(h, sigma2, pre)
+            _, grad4 = nll_value_and_gradient(h, sigma2, pre)
+            scale = np.max(np.abs(grad_ref))
+            worst = max(
+                worst,
+                np.max(np.abs(grad - grad_ref)) / scale,
+                np.max(np.abs(grad4[:3] - grad_ref)) / scale,
+                abs(grad4[3] - d_sigma2_ref) / abs(d_sigma2_ref),
+                np.max(np.abs(hess - hess_ref)) / np.max(np.abs(hess_ref)),
+            )
+        assert worst <= 1e-10
+
+    def test_value_is_evaluator_c_bit_for_bit(self):
+        # criterion 05's 50 problems
+        for seed in range(50):
+            data, h, sigma2 = _random_problem(500 + seed)
+            pre = preprocess(data)
+            value, _ = nll_value_and_gradient(h, sigma2, pre)
+            assert value == nll_algorithm_c(h, sigma2, pre).value
+
+    @pytest.mark.parametrize("lam", [3e-3, 1e-3, 1e-4])
+    def test_finite_where_the_dense_inverse_overflows(self, fir_problem, lam):
+        # lam^-125 leaves double range, so the dense K^-1 of the oracle
+        # does; C's value is finite, and so are derivatives read off C's
+        # decay-scaled triangle
+        data, _, _ = fir_problem(seed=15, n=125, n_samples=300, sigma2=0.2)
+        pre = preprocess(data)
+        h, sigma2 = DcHyperparams(c=1.0, lam=lam, rho=0.98), 0.2
+        with pytest.raises(SingularKernelError):
+            dense_gradient_hessian(h, sigma2, pre)
+        _, grad4 = nll_value_and_gradient(h, sigma2, pre)
+        grad, hess = nll_gradient_hessian(h, sigma2, pre)
+        assert np.all(np.isfinite(grad4)) and np.all(np.isfinite(hess))
+        np.testing.assert_array_equal(grad, grad4[:3])
+        point = np.array([h.c, h.lam, h.rho, sigma2])
+        for i in range(4):
+            # relative steps in lam and sigma^2: criterion 07's absolute
+            # 1e-6 * max(1, lam) would exceed lam itself
+            step = 1e-6 * (point[i] if i in (1, 3) else max(1.0, abs(point[i])))
+            plus, minus = point.copy(), point.copy()
+            plus[i] += step
+            minus[i] -= step
+            fd = (nll_algorithm_c(DcHyperparams(*plus[:3]), plus[3], pre).value
+                  - nll_algorithm_c(DcHyperparams(*minus[:3]), minus[3], pre).value) / (2 * step)
+            assert grad4[i] == pytest.approx(fd, rel=1e-5)
 
 
 class TestFlopAccounting:

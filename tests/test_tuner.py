@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
+import dcsysid.kernel
+import dcsysid.likelihood
+import dcsysid.tuner
 from dcsysid import (
     IdentificationResult,
     TunerConfig,
@@ -117,6 +121,47 @@ class TestTune:
         assert joint.sigma2_hat > 0
         # the jointly tuned objective cannot be worse than the plug-in one
         assert joint.objective <= residual.objective + 1e-6
+
+    def test_gradient_assisted_joint_policy(self, fir_problem):
+        # the sigma^2 component of the gradient steers the joint search
+        data, _, _ = fir_problem(seed=4, n=8, n_samples=150, sigma2=0.4)
+        free = tune(data, TunerConfig(sigma2_policy="joint", restarts=2, max_evals=600))
+        assisted = tune(data, TunerConfig(
+            solver="gradient-assisted", sigma2_policy="joint", restarts=2, max_evals=600
+        ))
+        assert assisted.objective == pytest.approx(free.objective, rel=1e-6)
+        assert assisted.sigma2_hat == pytest.approx(free.sigma2_hat, rel=1e-5)
+
+    def test_gradient_step_is_one_qr_and_one_triangular_inverse(self, fir_problem, monkeypatch):
+        data, _, _ = fir_problem(seed=3, n=10, n_samples=200, sigma2=0.3)
+        counts = {"qr": 0, "dtrtri": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense kernel route reached")
+
+        monkeypatch.setattr(dcsysid.likelihood, "_stacked_qr_c",
+                            counted("qr", dcsysid.likelihood._stacked_qr_c))
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
+                            counted("dtrtri", scipy.linalg.lapack.dtrtri))
+        for module, name in ((dcsysid.kernel, "dc_inverse"), (dcsysid.tuner, "dc_inverse"),
+                             (dcsysid.kernel, "dc_kernel_gradient"),
+                             (dcsysid.kernel, "dc_kernel_hessian"),
+                             (dcsysid.tuner, "nll_algorithm_c")):
+            monkeypatch.setattr(module, name, refuse)
+        result = tune(data, TunerConfig(
+            solver="gradient-assisted", sigma2_policy="joint", restarts=2, max_evals=40
+        ))
+        evals = result.diagnostics["n_evals_total"]
+        # one of each per step, plus the gradient_norm diagnostic's; the MAP
+        # estimate adds one QR
+        assert counts == {"qr": evals + 2, "dtrtri": evals + 1}
+        assert result.diagnostics["gradient_norm"] is not None
 
     def test_evaluation_budget_of_one(self, fir_problem):
         data, _, _ = fir_problem(seed=5, n=6, n_samples=80)
